@@ -278,13 +278,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         out = Path(args.output_dir) / f"BENCH_{suite}.json"
         perf.write_report(report, out)
         print(f"  -> {out}")
-        # Also drop a copy at the repo root: the latest local run sits
-        # next to README.md while benchmarks/results/ keeps the
-        # committed baselines the regression gate compares against.
-        root_out = Path.cwd() / f"BENCH_{suite}.json"
-        if root_out.resolve() != out.resolve():
-            perf.write_report(report, root_out)
-            print(f"  -> {root_out}")
         if args.baseline_dir is not None:
             base_path = Path(args.baseline_dir) / f"BENCH_{suite}.json"
             if not base_path.exists():

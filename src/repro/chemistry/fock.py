@@ -9,8 +9,11 @@ numerics difference.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
+from repro.chemistry import integrals
 from repro.chemistry.basis import BasisSet, BlockStructure
 from repro.chemistry.integrals import IntegralEngine, eri_tensor
 from repro.chemistry.screening import SchwarzScreen
@@ -24,6 +27,13 @@ class TaskKernel:
     Pair batches (flattened primitive-product tables of the *alive* shell
     pairs of a block pair) are cached, mirroring integral-prescreening data
     a production code would hold per process.
+
+    The kernel is semidirect: each block quartet's screened ERI tensor is
+    computed once and stored, up to ``integrals._ERI_STORE_BYTES`` bytes
+    per kernel, so repeated Fock builds on one problem (SCF iterations)
+    reuse it. Quartets past the budget are recomputed on every call. The
+    integrals depend only on geometry and basis, so a stored tensor is
+    bit-identical to a recomputed one.
 
     Args:
         basis: basis set.
@@ -49,6 +59,9 @@ class TaskKernel:
         self.engine = engine if engine is not None else screen.engine
         self._alive_cache: dict[BlockRef, list[tuple[int, int]]] = {}
         self._batch_cache: dict[BlockRef, object] = {}
+        self._eri_store: dict[tuple[int, int, int, int], np.ndarray] = {}
+        self._eri_bytes = 0
+        self._eri_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def alive_pairs(self, a: int, b: int) -> list[tuple[int, int]]:
@@ -77,8 +90,25 @@ class TaskKernel:
     def eri_block_tensor(self, a: int, b: int, c: int, d: int) -> np.ndarray:
         """Screened ERI tensor ``G[i,j,k,l]`` for one block quartet.
 
-        Screened-away entries are exactly zero.
+        Screened-away entries are exactly zero. The array is read-only:
+        it may be the kernel's stored copy, shared by every later call.
         """
+        key = (a, b, c, d)
+        stored = self._eri_store.get(key)
+        if stored is not None:
+            return stored
+        g = self._compute_eri_block(a, b, c, d)
+        g.flags.writeable = False
+        with self._eri_lock:
+            if (
+                key not in self._eri_store
+                and self._eri_bytes + g.nbytes <= integrals._ERI_STORE_BYTES
+            ):
+                self._eri_store[key] = g
+                self._eri_bytes += g.nbytes
+        return g
+
+    def _compute_eri_block(self, a: int, b: int, c: int, d: int) -> np.ndarray:
         bra_pairs = self.alive_pairs(a, b)
         ket_pairs = self.alive_pairs(c, d)
         lo_a, _ = self.blocks.block_range(a)

@@ -45,6 +45,12 @@ _TWO_PI_POW = 2.0 * np.pi**2.5
 #: memory of a block ERI at roughly ``chunk * n_cols * 8`` bytes.
 _ERI_CHUNK = 4096
 
+#: Byte budget of each :class:`~repro.chemistry.fock.TaskKernel`'s store of
+#: screened block-quartet ERI tensors (semidirect SCF). The full set is
+#: about ``n_basis**4 * 8`` bytes; quartets past the budget are recomputed
+#: on every Fock build.
+_ERI_STORE_BYTES = 128 * 2**20
+
 
 def boys_f0(t: np.ndarray | float) -> np.ndarray:
     """Vectorized Boys function of order zero.

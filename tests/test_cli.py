@@ -200,6 +200,18 @@ class TestPerfCommands:
         report = json.loads((tmp_path / "BENCH_core.json").read_text())
         validate_report(report)
 
+    def test_bench_writes_only_to_output_dir(self, capsys, tmp_path, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = main(
+            ["bench", "--suites", "core", "--repeats", "1",
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert rc == 0
+        assert list(cwd.iterdir()) == []
+        assert (tmp_path / "out" / "BENCH_core.json").exists()
+
     def test_bench_regression_gate_fires(self, capsys, tmp_path):
         import json
 
